@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use stayaway_telemetry::AppClass;
+use stayaway_workload::mix::{fnv1a, FNV1A_OFFSET};
 use stayaway_workload::{TenantSpec, WorkloadError};
 use std::collections::VecDeque;
 
@@ -128,7 +129,7 @@ impl JobState {
             end_ns,
             lookahead: None,
             stream_done: false,
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: FNV1A_OFFSET,
             generated: 0,
             carried: VecDeque::new(),
             dropped_unplaced: 0,
@@ -156,7 +157,6 @@ impl JobState {
     /// whether placed or not — makes the sequence a pure function of the
     /// epoch grid, never of placement.
     pub fn arrivals_before(&mut self, until_ns: u64) -> Vec<(u64, u64)> {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut out = Vec::new();
         loop {
             if self.lookahead.is_none() {
@@ -179,9 +179,7 @@ impl JobState {
                 let factor = 1.0 - d.service_jitter + 2.0 * d.service_jitter * u;
                 let nominal = ((d.service_ns() as f64 * factor) as u64).max(1);
                 self.cursor_ns = t;
-                for word in [t, nominal] {
-                    self.digest = (self.digest ^ word).wrapping_mul(PRIME);
-                }
+                self.digest = fnv1a(fnv1a(self.digest, t), nominal);
                 self.generated += 1;
                 self.lookahead = Some((t, nominal));
             }

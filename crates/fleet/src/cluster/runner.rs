@@ -5,25 +5,27 @@
 //! actuation, arrival routing, departures — happens *serially* at the
 //! epoch boundary in fixed host/job order; between boundaries each host's
 //! event engine advances alone, and only that embarrassingly parallel
-//! part runs on the worker pool. Combined with placement-independent job
-//! streams ([`crate::cluster::job`]), the run is bit-identical for any
-//! worker count, migrations included.
+//! part runs on the shared executor ([`stayaway_mds::run_indexed`]).
+//! Combined with placement-independent job streams
+//! ([`crate::cluster::job`]), the run is bit-identical for any worker
+//! count, migrations included.
 
 use crate::cluster::action::ClusterAction;
 use crate::cluster::job::JobState;
 use crate::cluster::outcome::{ClusterOutcome, HostRollup, JobRollup};
 use crate::cluster::policy::{ClusterPolicySpec, HostSnapshot, JobView};
 use crate::cluster::scenario::ClusterScenario;
+use crate::error::collect_jobs;
 use crate::policy::PolicySpec;
 use crate::registry::TemplateRegistry;
 use crate::seed::derive_cell_seed;
 use crate::FleetError;
 use stayaway_core::{ControlPolicy, ControllerConfig, Observability};
+use stayaway_mds::run_indexed;
 use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer, MetricsRegistry};
 use stayaway_telemetry::{AppClass, QosSummary};
 use stayaway_workload::{WorkloadHost, WorkloadMetrics};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Configuration of one cluster run.
 #[derive(Debug, Clone)]
@@ -188,43 +190,6 @@ impl HostCell {
     }
 }
 
-/// Advances every cell one epoch. Serial for one worker; otherwise the
-/// cells are parked in slots and claimed by index from an atomic cursor —
-/// each cell is advanced exactly once, by exactly one worker, and the
-/// results are put back in index order, so scheduling cannot leak into
-/// the outcome.
-fn advance_all(cells: &mut Vec<HostCell>, ticks: u64, workers: usize) {
-    let workers = workers.min(cells.len());
-    if workers <= 1 {
-        for cell in cells.iter_mut() {
-            cell.advance_epoch(ticks);
-        }
-        return;
-    }
-    let slots: Vec<Mutex<Option<HostCell>>> =
-        cells.drain(..).map(|c| Mutex::new(Some(c))).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                let mut slot = slots[i].lock().expect("slot lock");
-                if let Some(cell) = slot.as_mut() {
-                    cell.advance_epoch(ticks);
-                }
-            });
-        }
-    });
-    cells.extend(slots.into_iter().map(|slot| {
-        slot.into_inner()
-            .expect("slot lock")
-            .expect("cell returned")
-    }));
-}
-
 /// A cluster of open hosts under one scheduling policy.
 pub struct Cluster {
     config: ClusterConfig,
@@ -339,7 +304,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Propagates host construction, controller and engine failures.
+    /// Propagates host construction, controller and engine failures. A
+    /// host that panics while advancing fails as
+    /// [`FleetError::WorkerPanicked`] instead of unwinding through this
+    /// call.
     pub fn run(self) -> Result<ClusterOutcome, FleetError> {
         let config = &self.config;
         let tick_ns = config.scenario.tick_period_ns();
@@ -554,8 +522,14 @@ impl Cluster {
                 }
             }
 
-            // 6. Parallel section: each host advances alone.
-            advance_all(&mut cells, config.ticks_per_epoch, config.workers);
+            // 6. Parallel section: each host advances alone, in place, on
+            //    the shared executor. A host that panics fails the run as
+            //    WorkerPanicked naming it, after the others finish.
+            let advanced = run_indexed(config.workers, cells.iter_mut().collect(), |_, cell| {
+                cell.advance_epoch(config.ticks_per_epoch);
+                Ok(())
+            });
+            collect_jobs(advanced, |host| host)?;
 
             // 7. Departures, in job-id order at the epoch's end.
             for job in &mut jobs {

@@ -1,8 +1,9 @@
 //! The sharded fleet executor.
 //!
-//! Cells are distributed over a fixed pool of worker threads via an atomic
-//! work counter (work-stealing by index). Determinism is preserved by
-//! construction:
+//! Each wave of cells runs on the workspace's one executor,
+//! [`stayaway_mds::run_indexed`], which returns every cell's result at
+//! the cell's position and catches a panicking cell without stopping the
+//! others. Determinism is preserved by construction:
 //!
 //! * cell plans (scenario, seed) are fixed before any worker starts;
 //! * cells share nothing mutable while running;
@@ -21,12 +22,13 @@
 use crate::aggregate::FleetOutcome;
 use crate::cell::{run_cell, CellOutcome, CellPlan};
 use crate::config::FleetConfig;
+use crate::error::collect_jobs;
 use crate::registry::TemplateRegistry;
 use crate::FleetError;
+use stayaway_mds::run_indexed;
 use stayaway_statespace::Template;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// A configured fleet, ready to run.
 #[derive(Debug)]
@@ -102,8 +104,9 @@ impl Fleet {
     /// # Errors
     ///
     /// Propagates the failure of the lowest-indexed failing cell (a
-    /// deterministic choice), or [`FleetError::WorkerPanicked`] if a
-    /// worker died.
+    /// deterministic choice). A cell that panics fails as
+    /// [`FleetError::WorkerPanicked`] instead of unwinding through this
+    /// call.
     pub fn run(&self) -> Result<FleetOutcome, FleetError> {
         let plans = self.plans();
         let mut outcomes: Vec<CellOutcome>;
@@ -165,58 +168,19 @@ impl Fleet {
         Ok(FleetOutcome::aggregate(&self.config, &outcomes))
     }
 
-    /// Executes one wave of `(plan, optional import)` jobs over the worker
-    /// pool and returns the outcomes sorted by cell index.
+    /// Executes one wave of `(plan, optional import)` jobs on the shared
+    /// executor and returns the outcomes in job (cell-index) order.
     fn run_wave(
         &self,
         jobs: Vec<(CellPlan, Option<Template>)>,
     ) -> Result<Vec<CellOutcome>, FleetError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = self.config.workers.min(jobs.len());
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<CellOutcome, FleetError>)>();
-        let controller = &self.config.controller;
-        let ticks = self.config.ticks;
-        let jobs = &jobs;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((plan, import)) = jobs.get(i) else {
-                        break;
-                    };
-                    let result = run_cell(plan, controller, import.as_ref(), ticks);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut slots: Vec<Option<Result<CellOutcome, FleetError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        for (i, result) in rx {
-            slots[i] = Some(result);
-        }
-        // Resolve deterministically: report the lowest-indexed failure.
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(outcome)) => outcomes.push(outcome),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(FleetError::WorkerPanicked {
-                        cell: jobs[i].0.idx,
-                    })
-                }
-            }
-        }
-        outcomes.sort_by_key(|o| o.idx);
-        Ok(outcomes)
+        let config = &self.config;
+        let results = run_indexed(
+            config.workers,
+            jobs.iter().collect(),
+            |_, (plan, import)| run_cell(plan, &config.controller, import.as_ref(), config.ticks),
+        );
+        collect_jobs(results, |index| jobs[index].0.idx)
     }
 }
 

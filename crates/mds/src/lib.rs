@@ -65,4 +65,5 @@ mod parallel;
 
 pub use embedding::Embedding;
 pub use error::MdsError;
+pub use parallel::run_indexed;
 pub use smacof::SweepKernel;

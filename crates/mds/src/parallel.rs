@@ -1,60 +1,81 @@
-//! Deterministic fixed-chunk parallelism for the mapping kernels.
+//! The workspace's one thread-dispatch mechanism, and the fixed-chunk
+//! splitters the mapping kernels feed it.
 //!
-//! The mapping hot path (SMACOF majorization sweeps, distance-matrix
-//! maintenance) parallelizes over *chunks of output* whose boundaries are
-//! derived **only from the problem size**, never from the worker count.
-//! Each chunk is computed by exactly the same sequential code regardless
-//! of which thread runs it, and chunks are disjoint output slices carved
-//! out of one buffer in index order — so the assembled result is
+//! [`run_indexed`] runs jobs on scoped threads (`std::thread::scope`: no
+//! unsafe, no persistent pool), catches each job's panic, and returns
+//! every result at its job's index, so which worker ran what never shows.
+//! Mapping kernels, fleet cells and cluster hosts all run on it.
+//!
+//! The mapping kernels parallelize over *chunks of output* whose
+//! boundaries derive **only from the problem size**, never from the worker
+//! count. Each chunk is a disjoint slice of one buffer, computed by the
+//! same sequential code on whichever thread claims it, so the result is
 //! bit-for-bit identical for any worker count, including the inline
 //! single-worker path. The fleet determinism suites rely on this.
-//!
-//! Workers are plain scoped threads (`std::thread::scope`): no unsafe, no
-//! persistent pool, no shared mutable state. Chunks are assigned to
-//! workers round-robin by chunk index; assignment affects only *who*
-//! computes a chunk, never *what* is computed.
+
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
+use std::thread;
+
+/// Runs `f(index, job)` for every job on at most `workers` threads and
+/// returns each result at its job's index. A job that panics yields
+/// `Err(payload)` there; the other jobs finish normally.
+///
+/// One worker or one job runs inline on the caller: no threads, no lock.
+/// Otherwise the caller plus `workers - 1` scoped threads claim
+/// `(index, job)` pairs from one shared iterator.
+pub fn run_indexed<J, R, F>(workers: usize, jobs: Vec<J>, f: F) -> Vec<thread::Result<R>>
+where
+    J: Send,
+    R: Send,
+    F: Fn(usize, J) -> R + Sync,
+{
+    let run = |index, job| panic::catch_unwind(AssertUnwindSafe(|| f(index, job)));
+    let workers = workers.min(jobs.len());
+    let queue = jobs.into_iter().enumerate();
+    if workers <= 1 {
+        return queue.map(|(index, job)| run(index, job)).collect();
+    }
+    // No job runs under either lock, so neither can be poisoned by a job;
+    // recovering the guard keeps the "no panic escapes" promise anyway.
+    let queue = Mutex::new(queue);
+    let done = Mutex::new(Vec::new());
+    let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let drain = || {
+        while let Some((index, job)) = claim() {
+            let result = run(index, job);
+            done.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((index, result));
+        }
+    };
+    thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(drain);
+        }
+        drain();
+    });
+    let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
 
 /// One unit of parallel work: a tag (first output index covered) plus the
 /// disjoint output slice the chunk owns.
 type Piece<'a, T> = (usize, &'a mut [T]);
 
-/// Runs `body` over every piece, distributing pieces round-robin across at
-/// most `workers` scoped threads (the calling thread counts as one).
-///
-/// With `workers <= 1` or a single piece, everything runs inline on the
-/// calling thread — the results are identical either way because each
-/// piece's computation is self-contained.
+/// Runs `body` over every piece on [`run_indexed`], re-raising the
+/// lowest-indexed piece's panic on the caller as if all ran inline.
 pub(crate) fn scatter<T, F>(workers: usize, pieces: Vec<Piece<'_, T>>, body: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let workers = workers.max(1).min(pieces.len());
-    if workers <= 1 {
-        for (tag, slice) in pieces {
-            body(tag, slice);
+    for result in run_indexed(workers, pieces, |_, (tag, slice)| body(tag, slice)) {
+        if let Err(payload) = result {
+            panic::resume_unwind(payload);
         }
-        return;
     }
-    let mut shares: Vec<Vec<Piece<'_, T>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (index, piece) in pieces.into_iter().enumerate() {
-        shares[index % workers].push(piece);
-    }
-    std::thread::scope(|scope| {
-        let body = &body;
-        let mut shares = shares.into_iter();
-        let mine = shares.next().expect("workers >= 1");
-        for share in shares {
-            scope.spawn(move || {
-                for (tag, slice) in share {
-                    body(tag, slice);
-                }
-            });
-        }
-        for (tag, slice) in mine {
-            body(tag, slice);
-        }
-    });
 }
 
 /// Splits a row-major buffer of `row_len`-wide rows into chunks of
@@ -108,17 +129,50 @@ mod tests {
 
     #[test]
     fn scatter_is_identical_for_any_worker_count() {
-        let reference: Vec<f64> = (0..1000).map(|i| (i as f64).sin()).collect();
-        for workers in [1, 2, 3, 8] {
-            let mut out = vec![0.0; 1000];
-            let pieces = row_pieces(&mut out, 4, 16);
-            scatter(workers, pieces, |first_row, slice| {
-                for (k, v) in slice.iter_mut().enumerate() {
-                    *v = ((first_row * 4 + k) as f64).sin();
-                }
-            });
-            assert_eq!(out, reference, "diverged at {workers} workers");
+        // Sizes cover one partial piece, exactly one piece, and more
+        // pieces than workers; worker counts include 0 and more workers
+        // than pieces.
+        for len in [3, 64, 1000] {
+            let reference: Vec<f64> = (0..len).map(|i| (i as f64).sin()).collect();
+            for workers in [0, 1, 2, 3, 4, 8, 64] {
+                let mut out = vec![0.0; len];
+                let pieces = row_pieces(&mut out, 4, 16);
+                scatter(workers, pieces, |first_row, slice| {
+                    for (k, v) in slice.iter_mut().enumerate() {
+                        *v = ((first_row * 4 + k) as f64).sin();
+                    }
+                });
+                assert_eq!(out, reference, "len {len} diverged at {workers} workers");
+            }
         }
+    }
+
+    #[test]
+    fn run_indexed_isolates_a_panicking_job() {
+        for workers in [1, 2, 4, 8] {
+            for bad in [0, 5, 11] {
+                let results = run_indexed(workers, (0..12u64).collect(), |index, job| {
+                    assert_ne!(index, bad, "job {bad} fails");
+                    job * 10 + index as u64
+                });
+                assert_eq!(results.len(), 12);
+                for (index, result) in results.into_iter().enumerate() {
+                    match result {
+                        Err(_) => assert_eq!(index, bad, "{workers} workers"),
+                        Ok(value) => assert_eq!(value, 11 * index as u64, "{workers} workers"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "piece 2 fails")]
+    fn scatter_re_raises_the_panic_of_a_piece() {
+        let mut out = vec![0.0; 64];
+        scatter(4, row_pieces(&mut out, 1, 8), |first, _| {
+            assert_ne!(first, 16, "piece 2 fails");
+        });
     }
 
     #[test]

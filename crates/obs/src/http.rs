@@ -27,7 +27,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A shareable cell holding the `/state` JSON document. The run loop
 /// publishes into it (e.g. once per controller period); handlers read
@@ -235,12 +235,26 @@ fn parse_tail(query: &str) -> Option<usize> {
         .and_then(|n| n.parse().ok())
 }
 
+/// How long reading one request, and then writing its response, may each
+/// take: connections are served one at a time, so this bounds how long a
+/// slow or stuck client can hold up everyone else.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The time left until `deadline`. A socket timeout bounds one call only,
+/// and a client that lets a few bytes through keeps each call under it.
+fn time_left(deadline: Instant) -> io::Result<Duration> {
+    Some(deadline.saturating_duration_since(Instant::now()))
+        .filter(|left| !left.is_zero())
+        .ok_or_else(|| io::ErrorKind::TimedOut.into())
+}
+
 /// Reads the request head (request line + headers) and answers it.
 fn handle_connection(intro: &Introspection, stream: &mut TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let deadline = Instant::now() + IO_TIMEOUT;
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     loop {
+        stream.set_read_timeout(Some(time_left(deadline)?))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             break;
@@ -263,7 +277,14 @@ fn handle_connection(intro: &Introspection, stream: &mut TcpStream) -> io::Resul
         response.body.len(),
         response.body,
     );
-    stream.write_all(payload.as_bytes())
+    let deadline = Instant::now() + IO_TIMEOUT;
+    let mut rest = payload.as_bytes();
+    while !rest.is_empty() {
+        stream.set_write_timeout(Some(time_left(deadline)?))?;
+        let written = stream.write(rest)?;
+        rest = &rest[written..];
+    }
+    Ok(())
 }
 
 /// A running introspection server. Dropping (or calling
@@ -451,5 +472,30 @@ mod tests {
         server.shutdown();
         // The port is released once the thread joins.
         assert!(TcpListener::bind(addr).is_ok());
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_stall_the_server() {
+        let intro = Introspection::new();
+        // Far more than the loopback socket buffers hold, so serving it to
+        // a client that never reads blocks the write.
+        intro
+            .state()
+            .set(serde_json::json!({ "blob": "x".repeat(16 << 20) }));
+        let server = HttpServer::serve("127.0.0.1:0", intro).unwrap();
+        let addr = server.local_addr();
+        let mut stuck = TcpStream::connect(addr).unwrap();
+        stuck.write_all(b"GET /state HTTP/1.1\r\n\r\n").unwrap();
+        let start = Instant::now();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(IO_TIMEOUT * 3)).unwrap();
+        client.write_all(b"GET /health HTTP/1.1\r\n\r\n").unwrap();
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        let waited = start.elapsed();
+        assert!(response.ends_with("ok\n"), "{response}");
+        assert!(waited < IO_TIMEOUT + Duration::from_secs(5), "{waited:?}");
+        drop(stuck);
+        server.shutdown();
     }
 }

@@ -25,6 +25,7 @@
 use crate::arrival::NANOS_PER_SEC;
 use crate::latency::LatencyHistogram;
 use crate::metrics::WorkloadMetrics;
+use crate::mix::{fnv1a, splitmix64, FNV1A_OFFSET};
 use crate::spec::WorkloadScenario;
 use crate::WorkloadError;
 use rand::rngs::StdRng;
@@ -36,16 +37,6 @@ use stayaway_telemetry::{
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// SplitMix64 — the same mixer the rest of the workspace uses for seed
-/// derivation, reproduced here so tenant streams are stable even if the
-/// RNG crate changes its expansion.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
@@ -313,7 +304,7 @@ impl WorkloadHost {
             batch_work: 0.0,
             totals: RunTotals::default(),
             latency: LatencyHistogram::new(),
-            timeline_digest: 0xcbf2_9ce4_8422_2325,
+            timeline_digest: FNV1A_OFFSET,
             last_record: None,
             metrics: None,
             scenario,
@@ -584,12 +575,9 @@ impl WorkloadHost {
     }
 
     fn fold_digest(&mut self, e: &Event) {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = self.timeline_digest;
         for word in [e.time_ns, e.seq, e.kind.discriminant()] {
-            h = (h ^ word).wrapping_mul(PRIME);
+            self.timeline_digest = fnv1a(self.timeline_digest, word);
         }
-        self.timeline_digest = h;
     }
 
     /// Advances the per-tenant resource-time integrals to `to_ns`. Must

@@ -17,6 +17,7 @@
 //!   freezes, integer-nanosecond determinism.
 //! - [`WorkloadSource`] — the [`ObservationSource`] adapter: existing
 //!   policies and the fleet sense the event-driven host unchanged.
+//! - [`mix`] — the splitmix64 seed mixer and the FNV-1a digest step.
 //! - [`bench_scenario`] / [`BenchTable`] — the per-scenario/per-policy
 //!   QoS grid behind `stayaway bench-scenarios`.
 //!
@@ -28,6 +29,7 @@ pub mod engine;
 mod error;
 pub mod latency;
 pub mod metrics;
+pub mod mix;
 pub mod report;
 pub mod source;
 pub mod spec;

@@ -2,6 +2,7 @@
 # Full local gate: formatting, lints (warnings are errors), rustdoc
 # (warnings are errors), the release build, the test suite (including the
 # fleet determinism suite, the parallel-mapping determinism suite at 1-8
+# workers, the shared executor's panic-isolation tests at 1/2/4/8
 # workers, the staged-controller golden fixture, the
 # observability suites, the telemetry record→replay determinism
 # suite, the workload-engine determinism suite and the cluster-plane
@@ -32,6 +33,12 @@ cargo test -q -p stayaway-fleet --test determinism
 # suite fuzzes 1-8 workers internally; the fleet test pins the 1-vs-4
 # worker configuration end to end through a full fleet run).
 cargo test -q -p stayaway-mds --test parallel_determinism
+# Executor panic isolation: on the one executor every pool runs on, a
+# panicking job must come back as an error at its own index while every
+# other job's result survives, and the fleet and cluster must turn it
+# into WorkerPanicked naming the lowest panicking cell (1/2/4/8 workers).
+cargo test -q -p stayaway-mds --lib run_indexed_isolates_a_panicking_job
+cargo test -q -p stayaway-fleet --lib collect_jobs_names_the_lowest_panicking_cell
 cargo test -q -p stayaway-fleet --test determinism mapping_workers_1_and_4_agree_bit_for_bit
 cargo test -q -p stayaway-core --test golden_fixture
 # Workload determinism: the request-driven engine must be a pure function
