@@ -5,7 +5,7 @@
 //! actuation, arrival routing, departures — happens *serially* at the
 //! epoch boundary in fixed host/job order; between boundaries each host's
 //! event engine advances alone, and only that embarrassingly parallel
-//! part runs on the shared executor ([`stayaway_mds::run_indexed`]).
+//! part runs on the shared executor (`executor::run_indexed`).
 //! Combined with placement-independent job streams
 //! ([`crate::cluster::job`]), the run is bit-identical for any worker
 //! count, migrations included.
@@ -15,13 +15,12 @@ use crate::cluster::job::JobState;
 use crate::cluster::outcome::{ClusterOutcome, HostRollup, JobRollup};
 use crate::cluster::policy::{ClusterPolicySpec, HostSnapshot, JobView};
 use crate::cluster::scenario::ClusterScenario;
-use crate::error::collect_jobs;
+use crate::executor::{collect_jobs, run_indexed};
 use crate::policy::PolicySpec;
 use crate::registry::TemplateRegistry;
 use crate::seed::derive_cell_seed;
 use crate::FleetError;
 use stayaway_core::{ControlPolicy, ControllerConfig, Observability};
-use stayaway_mds::run_indexed;
 use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer, MetricsRegistry};
 use stayaway_telemetry::{AppClass, QosSummary};
 use stayaway_workload::{WorkloadHost, WorkloadMetrics};

@@ -93,58 +93,9 @@ impl From<StateSpaceError> for FleetError {
     }
 }
 
-/// Resolves the per-job results of [`stayaway_mds::run_indexed`] in job
-/// order, or fails with the lowest-indexed failure; a caught panic becomes
-/// [`FleetError::WorkerPanicked`] naming `cell_of(job index)`.
-pub(crate) fn collect_jobs<R>(
-    results: Vec<std::thread::Result<Result<R, FleetError>>>,
-    cell_of: impl Fn(usize) -> usize,
-) -> Result<Vec<R>, FleetError> {
-    let panicked = |index| FleetError::WorkerPanicked {
-        cell: cell_of(index),
-    };
-    let resolve = |(index, result): (usize, std::thread::Result<_>)| {
-        result.unwrap_or_else(|_| Err(panicked(index)))
-    };
-    results.into_iter().enumerate().map(resolve).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stayaway_mds::run_indexed;
-
-    #[test]
-    fn collect_jobs_names_the_lowest_panicking_cell() {
-        for workers in [1, 2, 4, 8] {
-            let results = run_indexed(workers, (0..10usize).collect(), |_, job| {
-                assert!(job != 3 && job != 7, "cell {job} fails");
-                Ok(job * 2)
-            });
-            match collect_jobs(results, |index| 100 + index) {
-                Err(FleetError::WorkerPanicked { cell }) => assert_eq!(cell, 103),
-                other => panic!("{workers} workers: expected a caught panic, got {other:?}"),
-            }
-            let clean = run_indexed(workers, (0..10usize).collect(), |_, job| Ok(job * 2));
-            let outcomes = collect_jobs(clean, |index| index).unwrap();
-            assert_eq!(outcomes, (0..10).map(|job| job * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn collect_jobs_reports_the_lowest_indexed_failure_of_either_kind() {
-        for workers in [1, 2, 4, 8] {
-            let results = run_indexed(workers, (0..8usize).collect(), |_, job| match job {
-                2 => Err(FleetError::Registry("cell 2".into())),
-                5 => panic!("cell 5 fails"),
-                _ => Ok(job),
-            });
-            match collect_jobs(results, |index| index) {
-                Err(FleetError::Registry(reason)) => assert_eq!(reason, "cell 2"),
-                other => panic!("{workers} workers: expected cell 2's error, got {other:?}"),
-            }
-        }
-    }
 
     #[test]
     fn display_is_descriptive() {

@@ -59,6 +59,7 @@ pub mod source;
 pub mod tournament;
 
 mod error;
+mod executor;
 
 pub use aggregate::{CellSummary, FleetOutcome, PolicyRollup, PredictorRollup};
 pub use cell::{CellOutcome, CellPlan};

@@ -1,7 +1,7 @@
 //! The sharded fleet executor.
 //!
 //! Each wave of cells runs on the workspace's one executor,
-//! [`stayaway_mds::run_indexed`], which returns every cell's result at
+//! `executor::run_indexed`, which returns every cell's result at
 //! the cell's position and catches a panicking cell without stopping the
 //! others. Determinism is preserved by construction:
 //!
@@ -22,10 +22,9 @@
 use crate::aggregate::FleetOutcome;
 use crate::cell::{run_cell, CellOutcome, CellPlan};
 use crate::config::FleetConfig;
-use crate::error::collect_jobs;
+use crate::executor::{collect_jobs, run_indexed};
 use crate::registry::TemplateRegistry;
 use crate::FleetError;
-use stayaway_mds::run_indexed;
 use stayaway_statespace::Template;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -62,11 +61,6 @@ impl Fleet {
         registry: Arc<TemplateRegistry>,
     ) -> Result<Self, FleetError> {
         config.validate()?;
-        let mut config = config;
-        // The fleet-level budget is authoritative for every cell
-        // (documented on `FleetConfig::mapping_workers`); results are
-        // bit-identical for any value, so this is a concurrency knob only.
-        config.controller.mapping_workers = config.mapping_workers;
         Ok(Fleet { config, registry })
     }
 

@@ -61,9 +61,6 @@ pub mod procrustes;
 pub mod smacof;
 
 mod error;
-mod parallel;
 
 pub use embedding::Embedding;
 pub use error::MdsError;
-pub use parallel::run_indexed;
-pub use smacof::SweepKernel;

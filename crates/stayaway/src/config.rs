@@ -4,7 +4,6 @@ use crate::mapping::EmbeddingStrategy;
 use crate::predictors::PredictorKind;
 use crate::violation::ViolationDetection;
 use crate::CoreError;
-use stayaway_mds::SweepKernel;
 use stayaway_telemetry::ResourceKind;
 
 /// Tunables of the Stay-Away controller; defaults follow the paper where it
@@ -61,17 +60,6 @@ pub struct ControllerConfig {
     /// How the 2-D embedding is maintained: per-period SMACOF (the paper's
     /// pipeline) or the landmark-MDS incremental alternative §4 cites.
     pub embedding_strategy: EmbeddingStrategy,
-    /// Worker-thread budget of the mapping kernels (SMACOF sweeps and
-    /// distance-matrix maintenance). Mapping results are bit-for-bit
-    /// identical for any value ≥ 1; the budget only bounds concurrency.
-    pub mapping_workers: usize,
-    /// Numeric kernel of the SMACOF majorization sweep: the bit-stable f64
-    /// reference (default) or the cache-blocked f32 kernel.
-    pub mapping_kernel: SweepKernel,
-    /// Length of one control period in seconds (the paper samples per-VM
-    /// metrics once per second, §5). The simulator equates one tick with
-    /// one period; a deployment would use this to pace its sampling loop.
-    pub control_period_secs: f64,
     /// Seed of the controller's internal randomness (prediction sampling
     /// and optimistic resumes).
     pub seed: u64,
@@ -105,9 +93,6 @@ impl Default for ControllerConfig {
             predictor: PredictorKind::Kde,
             violation_detection: ViolationDetection::AppReported,
             embedding_strategy: EmbeddingStrategy::Smacof,
-            mapping_workers: 1,
-            mapping_kernel: SweepKernel::F64,
-            control_period_secs: 1.0,
             seed: 0,
             events_capacity: 4096,
         }
@@ -176,22 +161,9 @@ impl ControllerConfig {
                 });
             }
         }
-        if self.mapping_workers == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "mapping_workers must be at least 1".into(),
-            });
-        }
         if self.events_capacity == 0 {
             return Err(CoreError::InvalidConfig {
                 reason: "events_capacity must be positive".into(),
-            });
-        }
-        if !(self.control_period_secs.is_finite() && self.control_period_secs > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "control_period_secs must be positive and finite, got {}",
-                    self.control_period_secs
-                ),
             });
         }
         if let ViolationDetection::IpcInferred { threshold } = self.violation_detection {
@@ -251,32 +223,9 @@ mod tests {
                 events_capacity: 0,
                 ..base.clone()
             },
-            ControllerConfig {
-                mapping_workers: 0,
-                ..base.clone()
-            },
-            ControllerConfig {
-                control_period_secs: 0.0,
-                ..base.clone()
-            },
-            ControllerConfig {
-                control_period_secs: f64::NAN,
-                ..base.clone()
-            },
-            ControllerConfig {
-                control_period_secs: f64::INFINITY,
-                ..base.clone()
-            },
         ];
         for c in cases {
             assert!(c.validate().is_err());
         }
-    }
-
-    #[test]
-    fn default_control_period_is_one_second() {
-        let c = ControllerConfig::default();
-        assert_eq!(c.control_period_secs, 1.0);
-        c.validate().unwrap();
     }
 }

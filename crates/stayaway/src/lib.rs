@@ -83,5 +83,4 @@ pub use mapping::EmbeddingStrategy;
 pub use obs::{MappingMetrics, Observability};
 pub use policy::ControlPolicy;
 pub use predictors::{Forecast, Predictor, PredictorKind, PredictorStats};
-pub use stayaway_mds::SweepKernel;
 pub use violation::{ViolationDetection, ViolationDetector};

@@ -3,11 +3,11 @@
 use crate::obs::MappingMetrics;
 use crate::CoreError;
 use stayaway_mds::dedup::ReprSet;
-use stayaway_mds::distance::{DistanceMatrix, Metric};
+use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::landmark::LandmarkMds;
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
 use stayaway_mds::procrustes::align_to_previous;
-use stayaway_mds::smacof::{warm_start_with_new_points, Smacof, SweepKernel};
+use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
 use stayaway_mds::Embedding;
 use stayaway_statespace::Point2;
 use stayaway_telemetry::{HostSpec, ResourceKind};
@@ -54,10 +54,6 @@ pub struct MappingEngine {
     /// bump hit counts — so cached entries can never go stale.
     dissim: Option<DistanceMatrix>,
     smacof: Smacof,
-    /// Worker-thread budget shared by the SMACOF sweeps and the
-    /// distance-matrix maintenance. Results are bit-for-bit identical for
-    /// any value (chunk boundaries never depend on it).
-    workers: usize,
     strategy: EmbeddingStrategy,
     landmark: Option<LandmarkMds>,
     fitted_at: usize,
@@ -103,7 +99,6 @@ impl MappingEngine {
             repr: ReprSet::new(dedup_epsilon)?.grid_indexed(),
             dissim: None,
             smacof: Smacof::new(2).max_iterations(smacof_iterations),
-            workers: 1,
             strategy: EmbeddingStrategy::Smacof,
             landmark: None,
             fitted_at: 0,
@@ -121,44 +116,12 @@ impl MappingEngine {
         self
     }
 
-    /// Sets the worker-thread budget of the mapping kernels — SMACOF
-    /// majorization sweeps and distance-matrix maintenance (builder-style;
-    /// clamped to ≥ 1, default 1). The embedding and every mapping
-    /// decision are **bit-for-bit identical for any worker count**; the
-    /// budget only bounds how many fixed chunks run concurrently.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self.smacof = self.smacof.clone().workers(self.workers);
-        if let Some(m) = &self.metrics {
-            m.set_workers(self.workers);
-        }
-        self
-    }
-
-    /// Selects the SMACOF sweep kernel (builder-style; default
-    /// [`SweepKernel::F64`], the bit-stable reference).
-    pub fn with_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.smacof = self.smacof.clone().kernel(kernel);
-        self
-    }
-
     /// Attaches observability instruments (builder-style; default none).
     /// Recording is decision-inert: identical mapping decisions with or
     /// without instruments.
     pub fn with_metrics(mut self, metrics: MappingMetrics) -> Self {
-        metrics.set_workers(self.workers);
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The worker-thread budget of the mapping kernels.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The SMACOF sweep kernel in use.
-    pub fn kernel(&self) -> SweepKernel {
-        self.smacof.sweep_kernel()
     }
 
     /// The embedding strategy in use.
@@ -404,11 +367,7 @@ impl MappingEngine {
         // `len() > n` cannot happen (the set never shrinks), but a rebuild
         // is the safe response if it ever does.
         if self.dissim.as_ref().is_none_or(|d| d.len() > n) {
-            self.dissim = Some(DistanceMatrix::from_vectors_with_workers(
-                reps,
-                Metric::Euclidean,
-                self.workers,
-            )?);
+            self.dissim = Some(DistanceMatrix::from_vectors(reps)?);
             return Ok(());
         }
         let d = self.dissim.as_mut().expect("cache exists");
@@ -417,7 +376,7 @@ impl MappingEngine {
         }
         let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
         for m in d.len()..n {
-            d.append_point_with_workers(&reps[..m], &reps[m], Metric::Euclidean, self.workers)?;
+            d.append_point(&reps[..m], &reps[m])?;
         }
         if let (Some(metrics), Some(t0)) = (&self.metrics, start) {
             metrics.on_append_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));

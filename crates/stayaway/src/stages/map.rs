@@ -49,9 +49,7 @@ impl MapStage {
             config.smacof_iterations,
             config.max_states,
         )?
-        .with_strategy(config.embedding_strategy)
-        .with_workers(config.mapping_workers)
-        .with_kernel(config.mapping_kernel);
+        .with_strategy(config.embedding_strategy);
         Ok(MapStage {
             mapping,
             map: StateMap::new(),

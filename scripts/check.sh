@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints (warnings are errors), rustdoc
 # (warnings are errors), the release build, the test suite (including the
-# fleet determinism suite, the parallel-mapping determinism suite at 1-8
-# workers, the shared executor's panic-isolation tests at 1/2/4/8
-# workers, the staged-controller golden fixture, the
+# fleet determinism suite, the mapping property suite (adversarial
+# NaN/inf and coincident-point inputs), the fleet executor's
+# panic-isolation tests at 1/2/4/8 workers, the staged-controller golden
+# fixture, the
 # observability suites, the telemetry record→replay determinism
 # suite, the workload-engine determinism suite and the cluster-plane
 # determinism suite at several worker counts), a replay smoke run
@@ -28,18 +29,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace
 cargo test -q --workspace
 cargo test -q -p stayaway-fleet --test determinism
-# Mapping determinism: the chunk-parallel SMACOF sweep and distance-matrix
-# builders must stay bit-identical to the serial reference (the property
-# suite fuzzes 1-8 workers internally; the fleet test pins the 1-vs-4
-# worker configuration end to end through a full fleet run).
-cargo test -q -p stayaway-mds --test parallel_determinism
+# Mapping properties: poisoned (NaN/inf) observations must surface as
+# typed errors and duplicate or coincident points must embed finitely,
+# alongside the SMACOF and distance-matrix invariants.
+cargo test -q -p stayaway-mds --test properties
 # Executor panic isolation: on the one executor every pool runs on, a
 # panicking job must come back as an error at its own index while every
 # other job's result survives, and the fleet and cluster must turn it
 # into WorkerPanicked naming the lowest panicking cell (1/2/4/8 workers).
-cargo test -q -p stayaway-mds --lib run_indexed_isolates_a_panicking_job
+cargo test -q -p stayaway-fleet --lib run_indexed_isolates_a_panicking_job
 cargo test -q -p stayaway-fleet --lib collect_jobs_names_the_lowest_panicking_cell
-cargo test -q -p stayaway-fleet --test determinism mapping_workers_1_and_4_agree_bit_for_bit
 cargo test -q -p stayaway-core --test golden_fixture
 # Workload determinism: the request-driven engine must be a pure function
 # of (scenario, seed) — bit-identical timelines and byte-identical JSON —

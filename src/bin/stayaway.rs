@@ -1544,7 +1544,6 @@ fn run(argv: &[String]) -> Result<(), String> {
                 controller: ControllerConfig::default(),
                 collect_metrics: args.metrics_out.is_some() || args.http.is_some(),
                 collect_events: args.events_out.is_some() || args.http.is_some(),
-                mapping_workers: 1,
             };
             let fleet = Fleet::new(config).map_err(|e| e.to_string())?;
             let outcome = fleet.run().map_err(|e| e.to_string())?;
