@@ -6,7 +6,7 @@ use crate::predictor::PredictorSpec;
 use crate::seed::derive_cell_seed;
 use crate::source::SourceSpec;
 use crate::FleetError;
-use stayaway_core::{ControllerConfig, ControllerEvent, ControllerStats, Observability};
+use stayaway_core::{ControllerConfig, ControllerStats, Observability};
 use stayaway_obs::{
     attr, EventKind, EventRecord, FlightRecorder, Layer, MetricsRegistry, MetricsSnapshot, Span,
 };
@@ -131,7 +131,7 @@ pub struct CellOutcome {
     /// the cell's policy has no template support.
     pub template: Option<Template>,
     /// Tick of the policy's first throttle, or `u64::MAX` if it never
-    /// throttled (or keeps no decision log).
+    /// throttled (or does not track its first throttle).
     pub first_throttle_tick: u64,
     /// True when the first throttle was proactive (prediction- or
     /// template-driven, not a reaction to an observed violation).
@@ -221,17 +221,8 @@ pub fn run_cell(
         drive(source.as_mut(), policy.as_mut(), ticks)?
     };
     let template = policy.export_template(plan.sensitive_key())?;
-    let (first_throttle_tick, first_throttle_proactive) = policy
-        .events()
-        .and_then(|events| {
-            events.iter().find_map(|e| match e {
-                ControllerEvent::Throttled {
-                    tick, proactive, ..
-                } => Some((*tick, *proactive)),
-                _ => None,
-            })
-        })
-        .unwrap_or((u64::MAX, false));
+    let (first_throttle_tick, first_throttle_proactive) =
+        policy.first_throttle().unwrap_or((u64::MAX, false));
     Ok(CellOutcome {
         idx: plan.idx,
         scenario: plan.scenario.name().to_string(),
@@ -341,7 +332,7 @@ mod tests {
         assert_eq!(out.policy, "reactive");
         assert!(out.template.is_none());
         assert_eq!(out.stats, ControllerStats::default());
-        // Keeps no decision log → no first-throttle telemetry.
+        // Does not track its first throttle → no first-throttle telemetry.
         assert_eq!(out.first_throttle_tick, u64::MAX);
         // A template offered to a non-supporting policy is ignored.
         let teacher = stayaway_plan(1, 13, Scenario::vlc_with_cpubomb(13));

@@ -42,7 +42,7 @@ pub struct HostRollup {
     pub throttles: u64,
     /// Resumes issued by the host controller.
     pub resumes: u64,
-    /// Events evicted from the host controller's bounded decision log.
+    /// Records evicted from the host's flight recorder (0 without one).
     pub events_dropped: u64,
     /// Interference verdicts checked against observed outcomes on this
     /// host.
@@ -120,7 +120,7 @@ pub struct ClusterOutcome {
     pub throttles: u64,
     /// Total resumes across host controllers.
     pub resumes: u64,
-    /// Total events evicted from bounded decision logs.
+    /// Total records evicted from the hosts' flight recorders.
     pub events_dropped: u64,
     /// Total interference verdicts checked against observed outcomes.
     pub prediction_checks: u64,

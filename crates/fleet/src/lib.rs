@@ -26,9 +26,11 @@
 //!   match before its first tick, throttling proactively on first contact.
 //!   Sharing is phased (pioneers → barrier → followers) precisely so the
 //!   registry contents a cell observes do not depend on thread scheduling.
-//! * **Constant-memory cells.** Controllers bound their decision logs
-//!   ([`stayaway_core::EventLog`]), so week-long fleet runs do not grow
-//!   without limit; evictions are surfaced in the fleet rollup.
+//! * **Constant-memory cells.** A controller keeps no decision log of
+//!   its own: decisions go to the cell's flight recorder
+//!   ([`stayaway_obs::FlightRecorder`]) only when events are collected,
+//!   and that ring is bounded, so week-long fleet runs do not grow
+//!   without limit; its evictions are surfaced in the fleet rollup.
 //!
 //! ```
 //! use stayaway_fleet::{Fleet, FleetConfig};

@@ -36,6 +36,49 @@ struct RecorderInner {
     last_by_kind: Vec<(EventKind, EventId)>,
 }
 
+impl RecorderInner {
+    /// Sequences one record and appends it, evicting the oldest when full.
+    fn push(
+        &mut self,
+        tick: u64,
+        layer: Layer,
+        kind: EventKind,
+        subject: String,
+        cause: Option<EventId>,
+        attrs: Vec<(String, crate::event::AttrValue)>,
+    ) -> EventId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let id = EventId {
+            scope: self.scope,
+            seq,
+        };
+        match self.last_by_kind.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, last)) => *last = id,
+            None => self.last_by_kind.push((kind, id)),
+        }
+        if self.capacity == 0 {
+            self.dropped += 1;
+            return id;
+        }
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(EventRecord {
+            tick,
+            layer,
+            seq,
+            scope: id.scope,
+            kind,
+            subject,
+            cause,
+            attrs,
+        });
+        id
+    }
+}
+
 /// A cheaply-clonable handle to one bounded event ring.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
@@ -90,8 +133,9 @@ impl FlightRecorder {
         cause: Option<EventId>,
         attrs: Vec<(String, crate::event::AttrValue)>,
     ) -> EventId {
-        let subject = self.subject();
-        self.record_for(tick, layer, kind, subject, cause, attrs)
+        let mut inner = self.inner.lock().expect("recorder poisoned");
+        let subject = inner.subject.clone();
+        inner.push(tick, layer, kind, subject, cause, attrs)
     }
 
     /// Records one event for an explicit subject (cluster verbs name
@@ -106,36 +150,7 @@ impl FlightRecorder {
         attrs: Vec<(String, crate::event::AttrValue)>,
     ) -> EventId {
         let mut inner = self.inner.lock().expect("recorder poisoned");
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let id = EventId {
-            scope: inner.scope,
-            seq,
-        };
-        match inner.last_by_kind.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, last)) => *last = id,
-            None => inner.last_by_kind.push((kind, id)),
-        }
-        if inner.capacity == 0 {
-            inner.dropped += 1;
-            return id;
-        }
-        if inner.events.len() == inner.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        let record = EventRecord {
-            tick,
-            layer,
-            seq,
-            scope: id.scope,
-            kind,
-            subject: subject.into(),
-            cause,
-            attrs,
-        };
-        inner.events.push_back(record);
-        id
+        inner.push(tick, layer, kind, subject.into(), cause, attrs)
     }
 
     /// Id of the most recently recorded event of `kind`, even when the

@@ -63,9 +63,6 @@ pub struct ControllerConfig {
     /// Seed of the controller's internal randomness (prediction sampling
     /// and optimistic resumes).
     pub seed: u64,
-    /// Maximum number of retained [`crate::EventLog`] entries; older events
-    /// are evicted (and counted) so long fleet runs hold constant memory.
-    pub events_capacity: usize,
 }
 
 impl Default for ControllerConfig {
@@ -94,7 +91,6 @@ impl Default for ControllerConfig {
             violation_detection: ViolationDetection::AppReported,
             embedding_strategy: EmbeddingStrategy::Smacof,
             seed: 0,
-            events_capacity: 4096,
         }
     }
 }
@@ -161,11 +157,6 @@ impl ControllerConfig {
                 });
             }
         }
-        if self.events_capacity == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "events_capacity must be positive".into(),
-            });
-        }
         if let ViolationDetection::IpcInferred { threshold } = self.violation_detection {
             if !(threshold.is_finite() && threshold > 0.0 && threshold <= 1.0) {
                 return Err(CoreError::InvalidConfig {
@@ -217,10 +208,6 @@ mod tests {
             },
             ControllerConfig {
                 max_states: 1,
-                ..base.clone()
-            },
-            ControllerConfig {
-                events_capacity: 0,
                 ..base.clone()
             },
         ];

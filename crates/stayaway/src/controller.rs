@@ -2,8 +2,7 @@
 //! (sense → map → predict → act), every period.
 
 use crate::config::ControllerConfig;
-use crate::events::ResumeReason;
-use crate::events::{ControllerEvent, ControllerStats, EventLog, StageClock, StageTiming};
+use crate::events::{ControllerStats, ResumeReason, StageClock, StageTiming};
 use crate::obs::{ControllerMetrics, MappingMetrics, Observability};
 use crate::stages::{ActStage, MapStage, PredictStage, ResumeDecision, SenseStage};
 use crate::CoreError;
@@ -24,11 +23,14 @@ use std::time::{Duration, Instant};
 /// cgroups and SIGSTOP/SIGCONT.
 ///
 /// The controller itself owns no mechanism: each period it routes data
-/// through the four [`crate::stages`] in the paper's §3 order, translates
-/// stage outcomes into events/statistics, and records per-stage wall time
-/// into [`crate::events::StageTiming`]. All randomness is drawn from the
-/// controller's single seeded RNG, in a fixed call order, so runs with the
-/// same seed are bit-identical.
+/// through the four [`crate::stages`] in the paper's §3 order and
+/// translates stage outcomes into statistics, metrics and — when a flight
+/// recorder is attached ([`Observability::with_recorder`]) — typed
+/// decision records; the recorder is the only store of decisions. Stage
+/// wall time goes into per-stage latency histograms, which
+/// [`Controller::stats`] reads back as [`StageTiming`]. All randomness is
+/// drawn from the controller's single seeded RNG, in a fixed call order,
+/// so runs with the same seed are bit-identical.
 #[derive(Debug)]
 pub struct Controller {
     config: ControllerConfig,
@@ -37,7 +39,8 @@ pub struct Controller {
     predict: PredictStage,
     act: ActStage,
     rng: StdRng,
-    events: EventLog,
+    /// `(tick, proactive)` of the first throttle decision; set once.
+    first_throttle: Option<(u64, bool)>,
     stats: ControllerStats,
     obs: ControllerMetrics,
 }
@@ -61,9 +64,9 @@ impl Controller {
     /// derived metrics).
     ///
     /// Observability is decision-inert: the controller's actions,
-    /// events, β, and state map are bit-for-bit identical whichever
-    /// bundle is passed — instrumentation reads the clock and writes
-    /// atomics, never consuming the controller's RNG.
+    /// decision counters, β, and state map are bit-for-bit identical
+    /// whichever bundle is passed — instrumentation reads the clock and
+    /// writes atomics, never consuming the controller's RNG.
     ///
     /// # Errors
     ///
@@ -81,7 +84,7 @@ impl Controller {
             map: MapStage::new(&config, spec)?.with_metrics(mapping_metrics),
             predict: PredictStage::new(&config),
             act: ActStage::new(&config, spec.capacities()),
-            events: EventLog::with_capacity(config.events_capacity),
+            first_throttle: None,
             stats: ControllerStats::default(),
             obs: ControllerMetrics::register(&obs),
             config,
@@ -132,7 +135,7 @@ impl Controller {
         s.samples_rejected += self.predict.predictor_stats().rejected;
         s.states = self.map.repr_count();
         s.violation_states = self.map.state_map().violation_count();
-        s.events_dropped = self.events.dropped();
+        s.events_dropped = self.events_dropped();
         let clock = |h: &stayaway_obs::Histogram| StageClock {
             invocations: h.count(),
             nanos: h.sum(),
@@ -153,10 +156,17 @@ impl Controller {
         self.obs.registry.snapshot()
     }
 
-    /// The decision log: the most recent
-    /// [`ControllerConfig::events_capacity`] events, oldest first.
-    pub fn events(&self) -> &EventLog {
-        &self.events
+    /// `(tick, proactive)` of the first throttle decision, or `None`
+    /// before any. Set once, when the decision is made — in observe-only
+    /// mode too, where no pause is sent — so it cannot be evicted the way
+    /// a bounded log's oldest entry is.
+    pub fn first_throttle(&self) -> Option<(u64, bool)> {
+        self.first_throttle
+    }
+
+    /// Evictions from the attached flight recorder; 0 without one.
+    fn events_dropped(&self) -> u64 {
+        self.obs.recorder.as_ref().map_or(0, |r| r.dropped())
     }
 
     /// The current β (§3.3).
@@ -240,10 +250,6 @@ impl Controller {
             let span = Instant::now();
             self.map.mark_violation(mapped.rep)?;
             map_span += span.elapsed();
-            self.events.push(ControllerEvent::ViolationLearned {
-                tick,
-                state: mapped.rep,
-            });
             if let Some(rec) = &self.obs.recorder {
                 // The causal link points at the verdict that was in force
                 // when the violation slipped through (the forecast that
@@ -262,10 +268,6 @@ impl Controller {
             let beta_increased = self.act.note_violation(tick);
             act_span += span.elapsed();
             if beta_increased {
-                self.events.push(ControllerEvent::BetaIncreased {
-                    tick,
-                    beta: self.act.beta(),
-                });
                 if let Some(rec) = &self.obs.recorder {
                     let cause = rec.last_id_of_kind(EventKind::SloViolation);
                     rec.record(
@@ -320,7 +322,6 @@ impl Controller {
                 actions = resumes;
                 self.stats.resumes += 1;
                 self.obs.resumes.inc();
-                self.events.push(ControllerEvent::Resumed { tick, reason });
                 if let Some(rec) = &self.obs.recorder {
                     let cause = rec.last_id_of_kind(EventKind::Throttle);
                     let why = match reason {
@@ -372,11 +373,6 @@ impl Controller {
                     if forecast.predicted_violation {
                         self.stats.violations_predicted += 1;
                         self.obs.violations_predicted.inc();
-                        self.events.push(ControllerEvent::ViolationPredicted {
-                            tick,
-                            votes: forecast.votes,
-                            samples: forecast.samples,
-                        });
                     }
                 }
             }
@@ -398,11 +394,7 @@ impl Controller {
                     self.stats.throttles += 1;
                     self.obs.throttles.inc();
                     let proactive = (predicted_violation || current_in_range) && !sensed.violated;
-                    self.events.push(ControllerEvent::Throttled {
-                        tick,
-                        count: targets.len(),
-                        proactive,
-                    });
+                    self.first_throttle.get_or_insert((tick, proactive));
                     if let Some(rec) = &self.obs.recorder {
                         // Cause: the forecast verdict in force this period
                         // when one exists (proactive path); a reactive
@@ -474,7 +466,7 @@ impl Controller {
         self.obs
             .duty_cycle
             .set(self.obs.throttled_periods.get() as f64 / self.stats.periods as f64);
-        self.obs.events_dropped.set(self.events.dropped() as f64);
+        self.obs.events_dropped.set(self.events_dropped() as f64);
         self.obs.states.set(self.map.repr_count() as f64);
         self.obs
             .violation_states
@@ -524,11 +516,18 @@ impl Policy for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stayaway_obs::FlightRecorder;
     use stayaway_sim::scenario::Scenario;
     use stayaway_sim::NullPolicy;
 
     fn default_controller(h: &stayaway_sim::Harness) -> Controller {
         Controller::for_host(ControllerConfig::default(), h.host().spec()).unwrap()
+    }
+
+    /// A default controller recording its decisions into `recorder`.
+    fn recorded_controller(h: &stayaway_sim::Harness, recorder: &FlightRecorder) -> Controller {
+        let obs = Observability::disabled().with_recorder(recorder.clone());
+        Controller::for_host_observed(ControllerConfig::default(), h.host().spec(), obs).unwrap()
     }
 
     #[test]
@@ -640,15 +639,6 @@ mod tests {
 
         let reuse = Scenario::vlc_with_soplex(19);
 
-        let first_throttle = |ctl: &Controller| {
-            ctl.events().iter().find_map(|e| match e {
-                ControllerEvent::Throttled {
-                    tick, proactive, ..
-                } => Some((*tick, *proactive)),
-                _ => None,
-            })
-        };
-
         // Cold controller.
         let mut h_cold = reuse.build_harness().unwrap();
         let mut cold = default_controller(&h_cold);
@@ -660,8 +650,8 @@ mod tests {
         warm.import_template(&template).unwrap();
         h_warm.run(&mut warm, 250);
 
-        let (warm_tick, warm_proactive) = first_throttle(&warm).expect("warm controller throttles");
-        let (cold_tick, cold_proactive) = first_throttle(&cold).expect("cold controller throttles");
+        let (warm_tick, warm_proactive) = warm.first_throttle().expect("warm controller throttles");
+        let (cold_tick, cold_proactive) = cold.first_throttle().expect("cold controller throttles");
         assert!(
             warm_proactive,
             "warm first throttle at tick {warm_tick} was reactive"
@@ -677,19 +667,50 @@ mod tests {
     }
 
     #[test]
+    fn first_throttle_matches_the_first_recorded_throttle() {
+        let observe_only = ControllerConfig {
+            actions_enabled: false,
+            ..ControllerConfig::default()
+        };
+        let cases = [
+            (Scenario::vlc_with_cpubomb(7), ControllerConfig::default()),
+            (Scenario::vlc_with_twitter(13), ControllerConfig::default()),
+            (Scenario::vlc_with_cpubomb(5), observe_only),
+        ];
+        for (scenario, config) in cases {
+            let mut h = scenario.build_harness().unwrap();
+            let recorder = FlightRecorder::for_scope(0, "ctl");
+            let obs = Observability::disabled().with_recorder(recorder.clone());
+            let mut ctl = Controller::for_host_observed(config, h.host().spec(), obs).unwrap();
+            h.run(&mut ctl, 250);
+            let recorded = recorder
+                .events()
+                .into_iter()
+                .find(|e| e.kind == EventKind::Throttle)
+                .map(|e| {
+                    let proactive = e.attrs.contains(&attr("proactive", true));
+                    (e.tick, proactive)
+                });
+            assert!(recorded.is_some(), "{} throttles", scenario.name());
+            assert_eq!(ctl.first_throttle(), recorded, "{}", scenario.name());
+        }
+    }
+
+    #[test]
     fn stats_and_events_accumulate() {
         let scenario = Scenario::vlc_with_cpubomb(23);
         let mut h = scenario.build_harness().unwrap();
-        let mut ctl = default_controller(&h);
+        let recorder = FlightRecorder::for_scope(0, "ctl");
+        let mut ctl = recorded_controller(&h, &recorder);
         h.run(&mut ctl, 200);
         let stats = ctl.stats();
         assert_eq!(stats.periods, 200);
         assert!(stats.states > 0);
         assert!(stats.violation_states > 0);
-        assert!(!ctl.events().is_empty());
+        assert!(!recorder.is_empty());
         assert_eq!(stats.mapping_errors, 0);
-        // Events are tick-ordered.
-        let ticks: Vec<u64> = ctl.events().iter().map(|e| e.tick()).collect();
+        // Records are tick-ordered.
+        let ticks: Vec<u64> = recorder.events().iter().map(|e| e.tick).collect();
         assert!(ticks.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -712,21 +733,18 @@ mod tests {
     fn event_log_is_bounded_and_drops_are_counted() {
         let scenario = Scenario::vlc_with_cpubomb(29);
         let mut h = scenario.build_harness().unwrap();
-        let config = ControllerConfig {
-            events_capacity: 8,
-            ..ControllerConfig::default()
-        };
-        let mut ctl = Controller::for_host(config, h.host().spec()).unwrap();
+        let recorder = FlightRecorder::bounded(0, "ctl", 8);
+        let mut ctl = recorded_controller(&h, &recorder);
         h.run(&mut ctl, 400);
-        assert!(ctl.events().len() <= 8);
+        assert!(recorder.len() <= 8);
         let stats = ctl.stats();
         assert!(
             stats.events_dropped > 0,
-            "a 400-tick CPUBomb run must overflow an 8-event log"
+            "a 400-tick CPUBomb run must overflow an 8-record ring"
         );
-        assert_eq!(stats.events_dropped, ctl.events().dropped());
+        assert_eq!(stats.events_dropped, recorder.dropped());
         // The retained suffix is still tick-ordered.
-        let ticks: Vec<u64> = ctl.events().iter().map(|e| e.tick()).collect();
+        let ticks: Vec<u64> = recorder.events().iter().map(|e| e.tick).collect();
         assert!(ticks.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -751,12 +769,13 @@ mod tests {
         // β should be incremented at least once over a long run.
         let scenario = Scenario::vlc_with_cpubomb(31);
         let mut h = scenario.build_harness().unwrap();
-        let mut ctl = default_controller(&h);
+        let recorder = FlightRecorder::for_scope(0, "ctl");
+        let mut ctl = recorded_controller(&h, &recorder);
         h.run(&mut ctl, 400);
-        let increases = ctl
+        let increases = recorder
             .events()
             .iter()
-            .filter(|e| matches!(e, ControllerEvent::BetaIncreased { .. }))
+            .filter(|e| e.kind == EventKind::BetaChange)
             .count();
         assert!(
             ctl.beta() > 0.01 || increases == 0,

@@ -76,9 +76,7 @@ mod error;
 pub use config::ControllerConfig;
 pub use controller::Controller;
 pub use error::CoreError;
-pub use events::{
-    hit_ratio, ControllerEvent, ControllerStats, EventLog, ResumeReason, StageClock, StageTiming,
-};
+pub use events::{hit_ratio, ControllerStats, ResumeReason, StageClock, StageTiming};
 pub use mapping::EmbeddingStrategy;
 pub use obs::{MappingMetrics, Observability};
 pub use policy::ControlPolicy;

@@ -10,7 +10,7 @@
 //! Everything here obeys the plane's one invariant: recording reads
 //! the clock and writes atomics — it never consumes controller RNG and
 //! never branches control logic — so an instrumented run's actions,
-//! events, β, and state map are bit-for-bit those of a bare run.
+//! decision counters, β, and state map are bit-for-bit those of a bare run.
 
 use stayaway_obs::{
     Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, SpanSink, StateCell,
@@ -72,7 +72,11 @@ impl Observability {
 
     /// Records typed controller decisions (throttle, resume, β change,
     /// predictor verdicts, drift anchors, learned violations) into the
-    /// flight recorder's bounded event ring (DESIGN.md §16).
+    /// flight recorder's bounded event ring (DESIGN.md §16). The recorder
+    /// is the controller's only decision store: without one, decisions
+    /// are counted in [`crate::ControllerStats`] but not kept. Its
+    /// evictions are reported as
+    /// [`ControllerStats::events_dropped`](crate::ControllerStats::events_dropped).
     pub fn with_recorder(mut self, recorder: FlightRecorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -242,7 +246,7 @@ impl ControllerMetrics {
             ),
             events_dropped: r.gauge(
                 "stayaway_controller_events_dropped",
-                "Events evicted from the bounded decision log",
+                "Records evicted from the attached flight recorder (0 without one)",
             ),
             states: r.gauge(
                 "stayaway_controller_states",

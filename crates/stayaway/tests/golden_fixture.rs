@@ -6,6 +6,9 @@
 //! stat streams **bit-for-bit** on the same scenario: identical events in
 //! identical order, identical counters, identical per-tick action counts,
 //! identical final β. Any divergence means the refactor changed behaviour.
+//! The events are read back from the flight recorder, the controller's
+//! only decision store; a recorder-less twin of every run must agree on
+//! stats, β and actions.
 //!
 //! Regenerate (only when a behaviour change is intended and reviewed):
 //!
@@ -13,58 +16,26 @@
 //! STAYAWAY_REGEN_GOLDEN=1 cargo test -p stayaway-core --test golden_fixture
 //! ```
 
+mod common;
+
+use common::FIXTURE_PATH;
 use serde_json::Value;
-use stayaway_core::{Controller, ControllerConfig, Observability};
+use stayaway_core::{ControllerConfig, Observability};
 use stayaway_obs::{MetricsRegistry, SpanSink};
 use stayaway_sim::scenario::Scenario;
 
-const FIXTURE_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/golden_controller.json"
-);
-
-/// Runs the default scenario under the default configuration and projects
-/// the observable controller behaviour into a canonical JSON document.
-///
-/// Only behaviourally meaningful, deterministic fields enter the
-/// projection: wall-clock stage timings are explicitly excluded, stat
-/// fields are listed one by one so adding a *new* counter cannot silently
-/// change the fixture.
-fn capture() -> Value {
-    capture_observed(Observability::disabled())
+/// The default scenario under the default configuration, projected into
+/// the canonical document (see `tests/common/mod.rs`).
+fn capture_observed(obs: Observability) -> Value {
+    common::capture(
+        ControllerConfig::default(),
+        &Scenario::vlc_with_cpubomb(7),
+        obs,
+    )
 }
 
-fn capture_observed(obs: Observability) -> Value {
-    let scenario = Scenario::vlc_with_cpubomb(7);
-    let ticks = 300u64;
-    let mut harness = scenario.build_harness().expect("scenario builds");
-    let mut ctl =
-        Controller::for_host_observed(ControllerConfig::default(), harness.host().spec(), obs)
-            .expect("default config is valid");
-    let outcome = harness.run(&mut ctl, ticks);
-    let stats = ctl.stats();
-    let actions: Vec<usize> = outcome.timeline.iter().map(|r| r.actions).collect();
-    serde_json::json!({
-        "scenario": scenario.name(),
-        "ticks": ticks,
-        "events": ctl.events().to_vec(),
-        "stats": serde_json::json!({
-            "periods": stats.periods,
-            "violations_observed": stats.violations_observed,
-            "violations_predicted": stats.violations_predicted,
-            "throttles": stats.throttles,
-            "resumes": stats.resumes,
-            "prediction_checks": stats.prediction_checks,
-            "prediction_hits": stats.prediction_hits,
-            "states": stats.states,
-            "violation_states": stats.violation_states,
-            "mapping_errors": stats.mapping_errors,
-            "events_dropped": stats.events_dropped,
-        }),
-        "beta": ctl.beta(),
-        "qos_violations": outcome.qos.violations,
-        "timeline_actions": actions,
-    })
+fn capture() -> Value {
+    capture_observed(Observability::disabled())
 }
 
 #[test]

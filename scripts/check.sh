@@ -18,8 +18,10 @@
 # introspection smoke (live HTTP /health /metrics /state /events,
 # promlint through the CLI, event export/import, and the metrics-diff
 # regression gate passing a snapshot against itself while flagging a
-# perturbed-seed run), and a compile check of every criterion bench
-# target. Run from anywhere inside the repository.
+# perturbed-seed run), a compile check of every criterion bench
+# target, and the benchmark package's own tests (built against the
+# current workspace, so deleting a public name the benchmark uses fails
+# here). Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -177,3 +179,5 @@ cargo run -q --release --bin stayaway -- \
     --metrics-out "$intro_dir/tournament.json" > /dev/null
 grep -q '"histograms"' "$intro_dir/tournament.json"
 cargo bench --workspace --no-run
+CARGO_TARGET_DIR=target/benchmark cargo test --offline --locked -q \
+    --manifest-path benchmark/Cargo.toml
